@@ -57,10 +57,11 @@
 //! links. Use the vendor-agnostic `topo.xml` format when destination
 //! interfaces matter.
 
+use crate::route_xml::intern_label;
 use crate::topo_xml::FormatError;
 use crate::xml::{parse as parse_xml, Element};
 use netmodel::{LabelKind, LabelTable, LinkId, Network, Op, RouterId, RoutingEntry, Topology};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One line of the mapping file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,13 +125,13 @@ pub fn parse_mapping(text: &str) -> Result<Vec<MappingEntry>, FormatError> {
 fn parse_label(text: &str, labels: &mut LabelTable) -> Result<netmodel::LabelId, FormatError> {
     let text = text.trim();
     if let Some(stripped) = text.strip_suffix(" S") {
-        Ok(labels.intern(&format!("{}S", stripped.trim()), LabelKind::MplsBos))
+        intern_label(labels, &format!("{}S", stripped.trim()), LabelKind::MplsBos)
     } else if text.contains('/') || text.contains('.') {
-        Ok(labels.intern(text, LabelKind::Ip))
+        intern_label(labels, text, LabelKind::Ip)
     } else if text.is_empty() {
         Err(FormatError::Semantic("empty label".into()))
     } else {
-        Ok(labels.intern(text, LabelKind::Mpls))
+        intern_label(labels, text, LabelKind::Mpls)
     }
 }
 
@@ -288,8 +289,9 @@ pub fn network_from_isis(
     // routers have no dumps and therefore no outgoing links yet).
     let existing: Vec<(RouterId, RouterId)> =
         topo.links().map(|l| (topo.src(l), topo.dst(l))).collect();
+    let present: HashSet<(RouterId, RouterId)> = existing.iter().copied().collect();
     for &(a, b) in &existing {
-        if !existing.contains(&(b, a)) {
+        if !present.contains(&(b, a)) {
             let name_a = topo.router(a).name.clone();
             let name_b = topo.router(b).name.clone();
             let l = topo.add_link(b, &format!("to_{name_a}"), a, &format!("from_{name_b}"), 1);
@@ -560,6 +562,18 @@ mod tests {
         assert_eq!(labels.kind(plain), LabelKind::Mpls);
         assert_eq!(labels.kind(bos), LabelKind::MplsBos);
         assert_eq!(labels.kind(ip), LabelKind::Ip);
+    }
+
+    #[test]
+    fn label_kind_clash_is_an_error() {
+        // "100 S" interns as bottom-of-stack "100S"; the bare text
+        // "100S" would be a plain MPLS label of the same name.
+        let mut labels = LabelTable::new();
+        parse_label("100 S", &mut labels).unwrap();
+        assert!(matches!(
+            parse_label("100S", &mut labels),
+            Err(FormatError::Semantic(_))
+        ));
     }
 
     /// Build a small router-level network, export it as an IS-IS

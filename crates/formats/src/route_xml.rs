@@ -43,6 +43,23 @@ fn kind_from(name: &str) -> Result<LabelKind, FormatError> {
     }
 }
 
+/// Intern `name` with `kind`, rejecting a name already interned with a
+/// different kind (label names identify their partition uniquely).
+pub(crate) fn intern_label(
+    labels: &mut LabelTable,
+    name: &str,
+    kind: LabelKind,
+) -> Result<netmodel::LabelId, FormatError> {
+    match labels.get(name) {
+        Some(id) if labels.kind(id) != kind => Err(FormatError::Semantic(format!(
+            "label {name:?} appears as both {} and {}",
+            kind_name(labels.kind(id)),
+            kind_name(kind)
+        ))),
+        _ => Ok(labels.intern(name, kind)),
+    }
+}
+
 /// Serialize a network's routing table to `route.xml`.
 pub fn write_routes(net: &Network) -> String {
     let topo = &net.topology;
@@ -117,15 +134,13 @@ pub fn parse_routes(doc: &str, topo: Topology) -> Result<Network, FormatError> {
             root.name
         )));
     }
-    let mut labels = LabelTable::new();
-    // First pass: intern all labels so kinds are fixed before rules.
     let routings = root
         .first_child("routings")
         .ok_or_else(|| FormatError::Semantic("missing <routings>".into()))?;
 
     let mut net = Network::new(topo, LabelTable::new());
 
-    // Closure to intern a (label, kind) pair.
+    // Intern a (label, kind) pair straight into the network's table.
     fn intern(labels: &mut LabelTable, el: &Element) -> Result<netmodel::LabelId, FormatError> {
         let name = el.require_attr("label")?;
         let kind = kind_from(el.get_attr("kind").unwrap_or_else(|| {
@@ -139,7 +154,7 @@ pub fn parse_routes(doc: &str, topo: Topology) -> Result<Network, FormatError> {
                 "mpls"
             }
         }))?;
-        Ok(labels.intern(name, kind))
+        intern_label(labels, name, kind)
     }
 
     for routing in routings.children_named("routing") {
@@ -166,15 +181,18 @@ pub fn parse_routes(doc: &str, topo: Topology) -> Result<Network, FormatError> {
                         "router {rname:?} has no incoming interface {from_if:?}"
                     ))
                 })?;
-            let label = intern(&mut labels, dest)?;
+            let label = intern(&mut net.labels, dest)?;
             let Some(te_groups) = dest.first_child("te-groups") else {
                 continue;
             };
             for te in te_groups.children_named("te-group") {
+                // Priorities are 1-based; 0 would trip `add_rule`'s assert.
                 let prio: usize = te
                     .require_attr("priority")?
                     .parse()
-                    .map_err(|_| FormatError::Semantic("bad priority".into()))?;
+                    .ok()
+                    .filter(|&p| p >= 1)
+                    .ok_or_else(|| FormatError::Semantic("bad priority".into()))?;
                 for route in te.children_named("route") {
                     let to_if = route.require_attr("to")?;
                     let out = net
@@ -190,8 +208,8 @@ pub fn parse_routes(doc: &str, topo: Topology) -> Result<Network, FormatError> {
                         for action in actions.children_named("action") {
                             let ty = action.require_attr("type")?;
                             let op = match ty {
-                                "swap" => Op::Swap(intern(&mut labels, action)?),
-                                "push" => Op::Push(intern(&mut labels, action)?),
+                                "swap" => Op::Swap(intern(&mut net.labels, action)?),
+                                "push" => Op::Push(intern(&mut net.labels, action)?),
                                 "pop" => Op::Pop,
                                 other => {
                                     return Err(FormatError::Semantic(format!(
@@ -202,9 +220,6 @@ pub fn parse_routes(doc: &str, topo: Topology) -> Result<Network, FormatError> {
                             ops.push(op);
                         }
                     }
-                    // Defer adding until labels table is attached below;
-                    // Network owns its table, so splice it in each time.
-                    net.labels = labels.clone();
                     net.add_rule(
                         in_link,
                         label,
@@ -218,7 +233,6 @@ pub fn parse_routes(doc: &str, topo: Topology) -> Result<Network, FormatError> {
             }
         }
     }
-    net.labels = labels;
     Ok(net)
 }
 
@@ -280,6 +294,53 @@ mod tests {
         }
     }
 
+    /// Routers A and B linked `B.x -> A.i` and `A.o -> B.y`.
+    fn two_routers() -> Topology {
+        let mut topo = Topology::new();
+        let a = topo.add_router("A", None);
+        let b = topo.add_router("B", None);
+        topo.add_link(b, "x", a, "i", 1);
+        topo.add_link(a, "o", b, "y", 1);
+        topo
+    }
+
+    #[test]
+    fn conflicting_label_kinds_are_a_semantic_error() {
+        let doc = r#"<routes><routings>
+          <routing for="A"><destinations>
+            <destination from="i" label="x" kind="mpls">
+              <te-groups><te-group priority="1">
+                <route to="o"><actions><action type="swap" label="x" kind="ip"/></actions></route>
+              </te-group></te-groups>
+            </destination>
+          </destinations></routing>
+        </routings></routes>"#;
+        let Err(FormatError::Semantic(msg)) = parse_routes(doc, two_routers()) else {
+            panic!("conflicting kinds must be rejected");
+        };
+        assert!(
+            msg.contains("\"x\"") && msg.contains("mpls") && msg.contains("ip"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn priority_zero_is_a_semantic_error() {
+        let doc = r#"<routes><routings>
+          <routing for="A"><destinations>
+            <destination from="i" label="s40">
+              <te-groups><te-group priority="0">
+                <route to="o"><actions/></route>
+              </te-group></te-groups>
+            </destination>
+          </destinations></routing>
+        </routings></routes>"#;
+        assert!(matches!(
+            parse_routes(doc, two_routers()),
+            Err(FormatError::Semantic(_))
+        ));
+    }
+
     #[test]
     fn kind_inference_defaults() {
         // Without `kind` attributes, paper naming conventions apply.
@@ -292,12 +353,7 @@ mod tests {
             </destination>
           </destinations></routing>
         </routings></routes>"#;
-        let mut topo = Topology::new();
-        let a = topo.add_router("A", None);
-        let b = topo.add_router("B", None);
-        topo.add_link(b, "x", a, "i", 1);
-        topo.add_link(a, "o", b, "y", 1);
-        let net = parse_routes(doc, topo).unwrap();
+        let net = parse_routes(doc, two_routers()).unwrap();
         let s40 = net.labels.get("s40").unwrap();
         assert_eq!(net.labels.kind(s40), LabelKind::MplsBos);
         assert_eq!(net.num_rules(), 1);

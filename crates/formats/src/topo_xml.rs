@@ -9,7 +9,7 @@
 
 use crate::xml::{parse as parse_xml, Element, XmlError};
 use netmodel::Topology;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
 /// Errors reading a format file.
@@ -84,6 +84,15 @@ pub fn write_topology(topo: &Topology) -> String {
     }
 
     let mut links = Element::new("links");
+    // Link ids per (src, dst, src_if, dst_if), in ascending order.
+    let mut by_ends: HashMap<_, VecDeque<netmodel::LinkId>> = HashMap::new();
+    for l in topo.links() {
+        let a = topo.link(l);
+        by_ends
+            .entry((a.src, a.dst, a.src_if.as_str(), a.dst_if.as_str()))
+            .or_default()
+            .push_back(l);
+    }
     let mut covered: Vec<bool> = vec![false; topo.num_links() as usize];
     for l in topo.links() {
         if covered[l.index()] {
@@ -91,14 +100,14 @@ pub fn write_topology(topo: &Topology) -> String {
         }
         covered[l.index()] = true;
         let a = topo.link(l);
-        // A reverse twin shares both routers and both interface names.
-        let twin = topo.links().find(|&m| {
-            let b = topo.link(m);
-            !covered[m.index()]
-                && b.src == a.dst
-                && b.dst == a.src
-                && b.src_if == a.dst_if
-                && b.dst_if == a.src_if
+        // A reverse twin shares both routers and both interface names;
+        // take the lowest uncovered one.
+        let twins = by_ends.get_mut(&(a.dst, a.src, a.dst_if.as_str(), a.src_if.as_str()));
+        let twin = twins.and_then(|ids| {
+            while ids.front().is_some_and(|m| covered[m.index()]) {
+                ids.pop_front();
+            }
+            ids.front().copied()
         });
         let mut link = Element::new("link").attr("distance", &a.distance.to_string());
         if let Some(t) = twin {

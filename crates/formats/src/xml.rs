@@ -8,6 +8,7 @@
 //! names, DOCTYPE, CDATA, processing instructions other than the prolog,
 //! and entity references other than `&lt; &gt; &amp; &quot; &apos;`.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -134,12 +135,39 @@ fn escape(s: &str) -> String {
         .replace('"', "&quot;")
 }
 
-fn unescape(s: &str) -> String {
-    s.replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&quot;", "\"")
-        .replace("&apos;", "'")
-        .replace("&amp;", "&")
+/// The entity references this subset decodes.
+const ENTITIES: [(&str, char); 5] = [
+    ("&lt;", '<'),
+    ("&gt;", '>'),
+    ("&amp;", '&'),
+    ("&quot;", '"'),
+    ("&apos;", '\''),
+];
+
+/// Decode entity references in `s`, which starts at byte `base` of the
+/// document, in one left-to-right pass; any `&` that does not begin one
+/// of [`ENTITIES`] is an error at its own position.
+fn unescape(s: &str, base: usize) -> Result<Cow<'_, str>, XmlError> {
+    if !s.contains('&') {
+        return Ok(Cow::Borrowed(s));
+    }
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        rest = &rest[amp..];
+        let (entity, ch) = ENTITIES
+            .iter()
+            .find(|(entity, _)| rest.starts_with(entity))
+            .ok_or_else(|| XmlError {
+                pos: base + s.len() - rest.len(),
+                msg: "unsupported entity reference (only &lt; &gt; &amp; &quot; &apos;)".into(),
+            })?;
+        out.push(*ch);
+        rest = &rest[entity.len()..];
+    }
+    out.push_str(rest);
+    Ok(Cow::Owned(out))
 }
 
 struct P<'a> {
@@ -235,7 +263,8 @@ impl<'a> P<'a> {
             }
             self.i += 1;
             let end = self.find("\"")?;
-            let value = unescape(&String::from_utf8_lossy(&self.s[self.i..end]));
+            let raw = String::from_utf8_lossy(&self.s[self.i..end]);
+            let value = unescape(&raw, self.i)?.into_owned();
             self.i = end + 1;
             el.attrs.insert(key, value);
         }
@@ -243,10 +272,11 @@ impl<'a> P<'a> {
         loop {
             // text up to next '<'
             let lt = self.find("<")?;
-            let text = String::from_utf8_lossy(&self.s[self.i..lt]);
-            let text = text.trim();
+            let raw = String::from_utf8_lossy(&self.s[self.i..lt]);
+            let text = raw.trim();
             if !text.is_empty() {
-                el.text.push_str(&unescape(text));
+                let start = self.i + raw.len() - raw.trim_start().len();
+                el.text.push_str(&unescape(text, start)?);
             }
             self.i = lt;
             if self.starts_with("<!--") {
@@ -351,6 +381,26 @@ mod tests {
         let e = Element::new("x").attr("v", "a<b&\"c\"");
         let back = parse(&e.to_xml()).unwrap();
         assert_eq!(back.get_attr("v"), Some("a<b&\"c\""));
+    }
+
+    #[test]
+    fn decodes_entities_in_one_pass() {
+        let root = parse(r#"<x v="&amp;lt;&quot;&apos;&gt;">a &amp;amp; b</x>"#).unwrap();
+        assert_eq!(root.get_attr("v"), Some("&lt;\"'>"));
+        assert_eq!(root.text, "a &amp; b");
+    }
+
+    #[test]
+    fn rejects_unknown_entities_and_bare_ampersands() {
+        for (doc, at) in [
+            (r#"<x v="a&foo;b"/>"#, 7),
+            (r#"<x v="a & b"/>"#, 8),
+            ("<x>  fish &chips</x>", 10),
+        ] {
+            let e = parse(doc).unwrap_err();
+            assert_eq!(e.pos, at, "{doc}");
+            assert_eq!(&doc[at..at + 1], "&");
+        }
     }
 
     #[test]
