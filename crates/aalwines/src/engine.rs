@@ -9,7 +9,7 @@ use crate::quantities::{StepMeasure, WeightSpec};
 use crate::telemetry::{self, JsonObject};
 use netmodel::{feasible_failures, LinkId, Network, Trace};
 use pdaal::budget::{AbortReason, Budget, CancelToken};
-use pdaal::post_star_threaded;
+use pdaal::poststar::post_star_budgeted;
 use pdaal::reduction::reduce;
 use pdaal::shortest::shortest_accepted_budgeted;
 use pdaal::witness::reconstruct_run;
@@ -53,30 +53,11 @@ pub struct VerifyOptions {
     pub max_transitions: Option<usize>,
     /// Cooperative cancellation token polled during solving.
     pub cancel: Option<CancelToken>,
-    /// Intra-query saturation parallelism: threads used *inside* one
-    /// verification (sharded `post*` saturation plus concurrent
-    /// over/under phases). `0` and `1` both select the exact sequential
-    /// code path; any value yields byte-identical answers, witnesses and
-    /// non-timing statistics. Distinct from batch-level parallelism
-    /// (one whole query per worker).
-    pub saturation_threads: usize,
 }
 
 impl Default for VerifyOptions {
-    /// Unweighted, reductions on, no budget. The default
-    /// `saturation_threads` honours the `AALWINES_SAT_THREADS`
-    /// environment variable (read once per process) so an entire test
-    /// suite or deployment can be switched to intra-query parallelism
-    /// without touching call sites; explicit
-    /// [`VerifyOptions::with_saturation_threads`] always wins.
+    /// Unweighted, reductions on, no budget.
     fn default() -> Self {
-        static ENV_SAT_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let sat_threads = *ENV_SAT_THREADS.get_or_init(|| {
-            std::env::var("AALWINES_SAT_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0)
-        });
         Self {
             weights: None,
             no_reduction: false,
@@ -84,7 +65,6 @@ impl Default for VerifyOptions {
             timeout: None,
             max_transitions: None,
             cancel: None,
-            saturation_threads: sat_threads,
         }
     }
 }
@@ -144,10 +124,12 @@ impl VerifyOptions {
         self
     }
 
-    /// Use `n` threads inside each single verification (see
-    /// [`VerifyOptions::saturation_threads`]). `0`/`1` run sequentially.
-    pub fn with_saturation_threads(mut self, n: usize) -> Self {
-        self.saturation_threads = n;
+    /// Former intra-query saturation parallelism knob; verification is
+    /// always sequential within a query and this returns `self`
+    /// unchanged. Parallelism is across queries (`Session` worker
+    /// threads).
+    #[deprecated(note = "saturation is sequential; use across-query worker threads")]
+    pub fn with_saturation_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -300,15 +282,8 @@ pub struct EngineStats {
     pub worklist_requeues_avoided: usize,
     /// Peak bytes resident in saturation worklists (queued transition
     /// ids plus the on-worklist dedup flags), maximized over every
-    /// saturation phase of this verification. Identical for every
-    /// `saturation_threads` setting — the parallel committer samples the
-    /// same logical queue length the sequential loop would see.
+    /// saturation phase of this verification.
     pub peak_worklist_bytes: usize,
-    /// The intra-query thread count this verification was configured
-    /// with (normalized: `>= 1`). A configuration echo, like
-    /// `validation_issues` — it is the one stats field that varies
-    /// across `--sat-threads` settings by design.
-    pub saturation_threads: usize,
     /// How many times the under-approximation ran (0 or 1 per query).
     pub under_runs: usize,
     /// Issues [`Network::validate`] reported for the engine's network at
@@ -392,7 +367,6 @@ impl EngineStats {
             "worklistBytesPerRule",
             self.peak_worklist_bytes as f64 / self.rules_over.max(1) as f64,
         );
-        o.number("saturationThreads", self.saturation_threads as f64);
         o.number("underRuns", self.under_runs as f64);
         o.number("validationIssues", self.validation_issues as f64);
         match self.quick_decided {
@@ -611,7 +585,7 @@ pub fn query_fingerprint(cq: &CompiledQuery, opts: &VerifyOptions) -> String {
 
 /// Run one approximation phase with weight domain `W`: obtain the
 /// compiled artifact (through the construction cache when one is
-/// attached), then saturate and extract via [`solve_phase`].
+/// attached), then saturate and extract a witness.
 #[allow(clippy::too_many_arguments)]
 fn run_phase<W: Weight + Send + Sync + 'static>(
     net: &Network,
@@ -624,7 +598,6 @@ fn run_phase<W: Weight + Send + Sync + 'static>(
     weigh: &dyn Fn(&StepMeasure) -> W,
     weight_vec: &dyn Fn(&W) -> Option<Vec<u64>>,
     stats: &mut EngineStats,
-    sat_threads: usize,
 ) -> Phase {
     // The compiled artifact records the links its construction visited
     // (its dependency footprint) and an estimated size, so a later
@@ -676,32 +649,7 @@ fn run_phase<W: Weight + Send + Sync + 'static>(
     } else {
         stats.rules_under = phase.cons.pds.num_rules();
     }
-    solve_phase(
-        net,
-        &phase,
-        cq,
-        mode,
-        budget,
-        weight_vec,
-        stats,
-        sat_threads,
-    )
-}
 
-/// Saturate a compiled artifact and extract a witness — the second half
-/// of [`run_phase`], split out so the concurrent engine can speculate an
-/// under-approximation on an already-compiled (cache-bypassing) artifact.
-#[allow(clippy::too_many_arguments)]
-fn solve_phase<W: Weight + Send + Sync + 'static>(
-    net: &Network,
-    phase: &CompiledPhase<W>,
-    cq: &CompiledQuery,
-    mode: ApproxMode,
-    budget: &Budget,
-    weight_vec: &dyn Fn(&W) -> Option<Vec<u64>>,
-    stats: &mut EngineStats,
-    sat_threads: usize,
-) -> Phase {
     // Poll at the phase boundary too: a construction-cache hit skips
     // the budget-polled compile entirely, so this may be the first
     // check since the budget was last consulted.
@@ -729,7 +677,7 @@ fn solve_phase<W: Weight + Send + Sync + 'static>(
     let cons = &phase.cons;
     let pds = &phase.solve_pds;
     let t0 = Instant::now();
-    let saturated = post_star_threaded(pds, &cons.initial, budget, sat_threads);
+    let saturated = post_star_budgeted(pds, &cons.initial, budget);
     let (sat, sstats) = match saturated {
         Ok(ok) => ok,
         Err(abort) => {
@@ -868,12 +816,6 @@ impl<'a> Verifier<'a> {
     }
 
     /// The dual over/under flow with concrete weight domains `WO`/`WU`.
-    ///
-    /// With `saturation_threads <= 1` this is the exact sequential
-    /// engine. With `>= 2` the under-approximation is *speculated* on a
-    /// second thread while the over-approximation runs on the calling
-    /// thread; see [`Verifier::verify_dual_concurrent`] for why the
-    /// result is byte-identical either way.
     #[allow(clippy::too_many_arguments)]
     fn verify_dual<WO, WU>(
         &self,
@@ -881,32 +823,16 @@ impl<'a> Verifier<'a> {
         opts: &VerifyOptions,
         budget: &Budget,
         cache: Option<(&ConstructionCache, &str)>,
-        weigh_over: &(dyn Fn(&StepMeasure) -> WO + Sync),
-        wv_over: &(dyn Fn(&WO) -> Option<Vec<u64>> + Sync),
-        weigh_under: &(dyn Fn(&StepMeasure) -> WU + Sync),
-        wv_under: &(dyn Fn(&WU) -> Option<Vec<u64>> + Sync),
+        weigh_over: &dyn Fn(&StepMeasure) -> WO,
+        wv_over: &dyn Fn(&WO) -> Option<Vec<u64>>,
+        weigh_under: &dyn Fn(&StepMeasure) -> WU,
+        wv_under: &dyn Fn(&WU) -> Option<Vec<u64>>,
         stats: &mut EngineStats,
     ) -> Outcome
     where
         WO: Weight + Send + Sync + 'static,
         WU: Weight + Send + Sync + 'static,
     {
-        let sat_threads = opts.saturation_threads.max(1);
-        if sat_threads >= 2 {
-            return self.verify_dual_concurrent(
-                cq,
-                opts,
-                budget,
-                cache,
-                weigh_over,
-                wv_over,
-                weigh_under,
-                wv_under,
-                stats,
-                sat_threads,
-            );
-        }
-
         // ---- over-approximation --------------------------------------
         let over = run_phase::<WO>(
             self.net,
@@ -919,7 +845,6 @@ impl<'a> Verifier<'a> {
             weigh_over,
             wv_over,
             stats,
-            1,
         );
         match over {
             Phase::Empty => return Outcome::Unsatisfied,
@@ -956,203 +881,8 @@ impl<'a> Verifier<'a> {
             weigh_under,
             wv_under,
             stats,
-            1,
         );
         match under {
-            Phase::Witness(w) => Outcome::Satisfied(w),
-            Phase::Aborted(reason) => Outcome::Aborted(reason),
-            _ => Outcome::Inconclusive,
-        }
-    }
-
-    /// The concurrent dual flow (`saturation_threads >= 2`): the over
-    /// phase runs on the calling thread exactly as in the sequential
-    /// engine (construction cache included), while the under phase is
-    /// speculated on a second thread *without* touching the cache — a
-    /// cache probe from the speculation would perturb hit counters and
-    /// LRU recency on queries where the sequential engine never runs the
-    /// under phase at all.
-    ///
-    /// At join time the sequential engine's observable behaviour is
-    /// replayed: if the over phase was conclusive the speculation is
-    /// cancelled and discarded wholesale (the cache was never touched,
-    /// so no trace remains); if it was infeasible, the under artifact's
-    /// cache bookkeeping (hit/miss counters, LRU insertion) is performed
-    /// now, in the exact position the sequential engine would have — the
-    /// artifact construction is deterministic, so the speculatively
-    /// compiled artifact equals the one the sequential engine would have
-    /// built or fetched.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_dual_concurrent<WO, WU>(
-        &self,
-        cq: &CompiledQuery,
-        opts: &VerifyOptions,
-        budget: &Budget,
-        cache: Option<(&ConstructionCache, &str)>,
-        weigh_over: &(dyn Fn(&StepMeasure) -> WO + Sync),
-        wv_over: &(dyn Fn(&WO) -> Option<Vec<u64>> + Sync),
-        weigh_under: &(dyn Fn(&StepMeasure) -> WU + Sync),
-        wv_under: &(dyn Fn(&WU) -> Option<Vec<u64>> + Sync),
-        stats: &mut EngineStats,
-        sat_threads: usize,
-    ) -> Outcome
-    where
-        WO: Weight + Send + Sync + 'static,
-        WU: Weight + Send + Sync + 'static,
-    {
-        // The over phase gets the larger share: it always runs to
-        // completion, while the speculation is thrown away whenever the
-        // over phase is conclusive.
-        let over_threads = sat_threads - sat_threads / 2;
-        let under_threads = sat_threads / 2;
-        let internal = CancelToken::new();
-        let under_budget = budget.clone().with_cancel(internal.clone());
-        let net = self.net;
-        let pre: &NetworkPrecomp = &self.precomp;
-
-        let (over, under_join) = std::thread::scope(|scope| {
-            let under_budget = &under_budget;
-            let handle = scope.spawn(move || {
-                let mut ustats = EngineStats::new();
-                // The compile runs under the speculation budget (caller
-                // budget + internal cancel token), so a conclusive over
-                // phase stops a discarded speculation mid-construction —
-                // the join never waits out an unwanted compile.
-                let phase = match compile_phase::<WU>(
-                    pre,
-                    cq,
-                    ApproxMode::Under,
-                    opts.no_reduction,
-                    weigh_under,
-                    under_budget,
-                ) {
-                    Ok(phase) => phase,
-                    Err(reason) => return (Phase::Aborted(reason), ustats, None),
-                };
-                let outcome = solve_phase(
-                    net,
-                    &phase,
-                    cq,
-                    ApproxMode::Under,
-                    under_budget,
-                    wv_under,
-                    &mut ustats,
-                    under_threads,
-                );
-                (outcome, ustats, Some(phase))
-            });
-            let over = run_phase::<WO>(
-                net,
-                pre,
-                cache,
-                cq,
-                ApproxMode::Over,
-                opts,
-                budget,
-                weigh_over,
-                wv_over,
-                stats,
-                over_threads,
-            );
-            if !matches!(over, Phase::Infeasible) {
-                // Conclusive (or aborted) over phase: the speculation's
-                // result is unwanted — stop it at its next budget poll.
-                internal.cancel();
-            }
-            (over, handle.join())
-        });
-
-        match over {
-            Phase::Empty => return Outcome::Unsatisfied,
-            Phase::Witness(w) => return Outcome::Satisfied(w),
-            // A panic in the discarded speculation is deliberately
-            // swallowed with the join result: the sequential engine
-            // would never have executed that code.
-            Phase::Aborted(reason) => return Outcome::Aborted(reason),
-            Phase::Infeasible => {}
-        }
-
-        // Same inter-phase budget re-check as the sequential engine.
-        if let Err(reason) = budget.checker().tick(0) {
-            return Outcome::Aborted(reason);
-        }
-
-        let (uphase, ustats, artifact) = match under_join {
-            Ok(out) => out,
-            // The sequential engine would have hit the same panic while
-            // running the under phase inline; re-raise it so the batch
-            // runner's panic isolation reports it identically.
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-
-        stats.under_runs += 1;
-
-        let Some(artifact) = artifact else {
-            // The speculative compile aborted on a budget signal.
-            // Deadlines and cancellations are sticky, so the inter-phase
-            // re-check above almost always observes the same signal and
-            // returns before reaching this point; defensively replay the
-            // sequential under phase inline (caller budget, cache and
-            // all) rather than surfacing the speculation's abort.
-            let under = run_phase::<WU>(
-                net,
-                pre,
-                cache,
-                cq,
-                ApproxMode::Under,
-                opts,
-                budget,
-                weigh_under,
-                wv_under,
-                stats,
-                under_threads,
-            );
-            return match under {
-                Phase::Witness(w) => Outcome::Satisfied(w),
-                Phase::Aborted(reason) => Outcome::Aborted(reason),
-                _ => Outcome::Inconclusive,
-            };
-        };
-        stats.rules_under = artifact.cons.pds.num_rules();
-
-        // Replay the construction-cache bookkeeping the sequential
-        // engine would have performed for the under phase.
-        let (t_construct, t_reduce) = (artifact.t_construct, artifact.t_reduce);
-        let hit = match cache {
-            Some((cache, fingerprint)) => {
-                let footprint = artifact.cons.footprint();
-                let bytes = artifact.cons.approx_bytes()
-                    + artifact.solve_pds.approx_bytes()
-                    + std::mem::size_of::<CompiledPhase<WU>>();
-                let (_, hit) = cache.get_or_build_tracked(
-                    &format!("{:?};{fingerprint}", ApproxMode::Under),
-                    move || (artifact, Some(footprint), bytes),
-                );
-                hit
-            }
-            None => false,
-        };
-        if hit {
-            stats.cache_hits += 1;
-        } else {
-            stats.cache_misses += 1;
-            stats.t_construct += t_construct;
-            stats.t_reduce += t_reduce;
-            stats.t_construct_under += t_construct;
-            stats.t_reduce_under += t_reduce;
-        }
-
-        // Merge the speculative solve's counters (solve_phase filled a
-        // private stats object so a discarded speculation leaves no
-        // trace).
-        stats.worklist_pops += ustats.worklist_pops;
-        stats.mid_states += ustats.mid_states;
-        stats.worklist_requeues_avoided += ustats.worklist_requeues_avoided;
-        stats.peak_worklist_bytes = stats.peak_worklist_bytes.max(ustats.peak_worklist_bytes);
-        stats.t_solve += ustats.t_solve;
-        stats.t_solve_under += ustats.t_solve_under;
-
-        match uphase {
             Phase::Witness(w) => Outcome::Satisfied(w),
             Phase::Aborted(reason) => Outcome::Aborted(reason),
             _ => Outcome::Inconclusive,
@@ -1173,7 +903,6 @@ impl Engine for Verifier<'_> {
         let t_start = Instant::now();
         let mut stats = EngineStats::new();
         stats.validation_issues = self.validation_issues;
-        stats.saturation_threads = opts.saturation_threads.max(1);
         stats.t_precomp = self.precomp.build_time();
         // Sampled again on every return path: the construction cache may
         // have grown (or evicted) during this very call.

@@ -296,10 +296,6 @@ pub struct SessionStats {
     pub backend: &'static str,
     /// Worker threads used by [`Session::verify_batch`].
     pub threads: usize,
-    /// Intra-query saturation threads every verification runs with
-    /// (normalized: `>= 1`; see
-    /// [`VerifyOptions::saturation_threads`]).
-    pub saturation_threads: usize,
     /// Queries answered since the session opened (single + batch).
     pub queries: usize,
     /// Deltas that actually changed the dataplane.
@@ -340,7 +336,6 @@ impl SessionStats {
         let mut o = JsonObject::new();
         o.string("backend", self.backend);
         o.number("threads", self.threads as f64);
-        o.number("saturationThreads", self.saturation_threads as f64);
         o.number("queries", self.queries as f64);
         o.number("deltasApplied", self.deltas_applied as f64);
         o.number("invalidatedTotal", self.invalidated_total as f64);
@@ -408,13 +403,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Threads used *inside* each single verification (sharded
-    /// saturation plus concurrent over/under phases; 0 or 1 runs the
-    /// sequential engine). Composes with [`SessionBuilder::threads`]:
-    /// batch workers each verify whole queries, and every such
-    /// verification additionally parallelizes internally.
-    pub fn saturation_threads(mut self, n: usize) -> Self {
-        self.opts = self.opts.with_saturation_threads(n);
+    /// Former intra-query saturation parallelism knob; returns `self`
+    /// unchanged. Each verification is sequential; parallelism comes
+    /// from [`SessionBuilder::threads`].
+    #[deprecated(note = "saturation is sequential; use SessionBuilder::threads")]
+    pub fn saturation_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -924,7 +917,6 @@ impl Session {
         let mut s = SessionStats {
             backend: self.backend.as_str(),
             threads: self.threads,
-            saturation_threads: self.opts.saturation_threads.max(1),
             queries: self.queries.load(Ordering::Relaxed),
             deltas_applied: self.deltas_applied,
             invalidated_total: self.invalidated_total,

@@ -123,10 +123,6 @@ pub fn peer_of(w: impl Write + Send + 'static) -> Peer {
 pub struct DaemonConfig {
     /// Worker threads for `batch` requests.
     pub threads: usize,
-    /// Threads used *inside* each single verification (sharded
-    /// saturation + concurrent over/under phases). 0/1 = sequential;
-    /// answers are byte-identical at any setting.
-    pub saturation_threads: usize,
     /// Construction-cache capacity in artifacts (0 disables caching).
     pub cache_size: usize,
     /// Maximum concurrent client connections; further connections are
@@ -153,7 +149,6 @@ impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
             threads: 1,
-            saturation_threads: 1,
             cache_size: aalwines::DEFAULT_CACHE_SIZE,
             max_clients: DEFAULT_MAX_CLIENTS,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
@@ -557,7 +552,6 @@ impl Daemon {
     fn build_session(&self, net: Network) -> Session {
         let mut session = SessionBuilder::new()
             .threads(self.shared.config.threads)
-            .saturation_threads(self.shared.config.saturation_threads)
             .cache_size(self.shared.config.cache_size)
             .open(net);
         // Prime the resident lint state with the freshly loaded
@@ -788,10 +782,6 @@ impl Daemon {
         };
         o.boolean("loaded", resident.is_some());
         o.number("residentBytes", resident.unwrap_or(0) as f64);
-        o.number(
-            "saturationThreads",
-            self.shared.config.saturation_threads.max(1) as f64,
-        );
         o.number("lintMillis", lint_millis);
         o.number("lintIncrementalHits", lint_hits as f64);
         o.number(

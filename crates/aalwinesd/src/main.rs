@@ -16,8 +16,7 @@ aalwinesd — resident what-if verification service (NDJSON over a Unix socket)
 
 USAGE:
     aalwinesd --socket PATH [--demo | --topology T.xml --routing R.xml]
-              [--locations L.json] [--repair] [--threads N] [--sat-threads N]
-              [--cache-size N]
+              [--locations L.json] [--repair] [--threads N] [--cache-size N]
               [--journal PATH] [--max-clients N] [--max-frame-bytes N]
               [--read-timeout-ms N] [--max-resident-bytes N]
     aalwinesd --smoke | --smoke-reconnect
@@ -30,8 +29,6 @@ OPTIONS:
     --locations PATH         preload: optional router-coordinate JSON
     --repair                 drop ill-formed rules while preloading
     --threads N              worker threads for batch requests (default 1)
-    --sat-threads N          threads inside each single verification; answers
-                             are byte-identical at any setting (default 1)
     --cache-size N           construction-cache capacity (default 256, 0 = off)
     --journal PATH           write-ahead journal: replay it at startup, then
                              record every load/delta/subscribe for crash safety
@@ -58,7 +55,6 @@ struct Args {
     locations: Option<String>,
     repair: bool,
     threads: usize,
-    sat_threads: usize,
     cache_size: usize,
     journal: Option<PathBuf>,
     max_clients: usize,
@@ -80,7 +76,6 @@ fn parse_args() -> Result<Args, String> {
         locations: None,
         repair: false,
         threads: 1,
-        sat_threads: 1,
         cache_size: aalwines::DEFAULT_CACHE_SIZE,
         journal: None,
         max_clients: defaults.max_clients,
@@ -105,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
             "--locations" => args.locations = Some(value("--locations")?),
             "--repair" => args.repair = true,
             "--threads" => args.threads = parsed("--threads", value("--threads")?)?,
-            "--sat-threads" => args.sat_threads = parsed("--sat-threads", value("--sat-threads")?)?,
             "--cache-size" => args.cache_size = parsed("--cache-size", value("--cache-size")?)?,
             "--journal" => args.journal = Some(PathBuf::from(value("--journal")?)),
             "--max-clients" => args.max_clients = parsed("--max-clients", value("--max-clients")?)?,
@@ -137,7 +131,6 @@ impl Args {
     fn config(&self) -> DaemonConfig {
         DaemonConfig {
             threads: self.threads,
-            saturation_threads: self.sat_threads,
             cache_size: self.cache_size,
             max_clients: self.max_clients,
             max_frame_bytes: self.max_frame_bytes,

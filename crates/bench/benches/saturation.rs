@@ -30,8 +30,7 @@ use pdaal::poststar::{post_star, post_star_budgeted, post_star_with_stats, Satur
 use pdaal::prestar::{pre_star, pre_star_with_stats};
 use pdaal::reference::{post_star_ref, pre_star_ref};
 use pdaal::{
-    post_star_threaded, pre_star_threaded, AutState, MinTotal, MinVector, PAutomaton, Pds, RuleOp,
-    StateId, SymbolId, Unweighted, Weight,
+    AutState, MinTotal, MinVector, PAutomaton, Pds, RuleOp, StateId, SymbolId, Unweighted, Weight,
 };
 use query::compile;
 use std::time::Instant;
@@ -239,212 +238,6 @@ fn synthetic_prestar_workload(iters: u32) -> Workload {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Intra-query parallel saturation sweep (--json)
-// ---------------------------------------------------------------------------
-
-/// A layered (acyclic) wide PDS: every rule moves exactly one layer
-/// forward, so saturation cost is governed by the layer count and the
-/// symbol alphabet instead of blowing up near the random-PDS density
-/// cliff — which is what makes a >100k-rule workload tractable at all.
-/// The `(p + g + k) % 3` op mix matches the verification-shaped
-/// pop/swap/push ratio used elsewhere in this file.
-fn layered_pds(layers: u32, syms: u32, fanout: u32) -> Pds<MinTotal> {
-    let mut pds = Pds::new(layers, syms);
-    let mut tag = 0;
-    for p in 0..layers - 1 {
-        for g in 0..syms {
-            for k in 0..fanout {
-                let q = p + 1;
-                match (p + g + k) % 3 {
-                    0 => pds.add_rule(
-                        StateId(p),
-                        SymbolId(g),
-                        StateId(q),
-                        RuleOp::Pop,
-                        MinTotal(1 + g as u64),
-                        tag,
-                    ),
-                    1 => pds.add_rule(
-                        StateId(p),
-                        SymbolId(g),
-                        StateId(q),
-                        RuleOp::Swap(SymbolId((g + 1 + k) % syms)),
-                        MinTotal(2 + k as u64),
-                        tag,
-                    ),
-                    _ => pds.add_rule(
-                        StateId(p),
-                        SymbolId(g),
-                        StateId(q),
-                        RuleOp::Push(SymbolId((g + 2 + k) % syms), SymbolId(g)),
-                        MinTotal(3),
-                        tag,
-                    ),
-                };
-                tag += 1;
-            }
-        }
-    }
-    pds
-}
-
-/// An initial configuration whose first stack position admits `width`
-/// different symbols: the post* frontier is wide from round one, so
-/// batches exceed the `SMALL_BATCH` inline-commit threshold and the
-/// speculative crew actually runs.
-fn wide_init(pds: &Pds<MinTotal>, width: u32) -> PAutomaton<MinTotal> {
-    let mut aut = PAutomaton::new(pds);
-    let mid = aut.add_state();
-    let step = (pds.num_symbols() / width.max(1)).max(1);
-    for g in (0..pds.num_symbols()).step_by(step as usize) {
-        aut.add_edge(AutState(0), SymbolId(g), mid, MinTotal(0));
-    }
-    let last = aut.add_state();
-    aut.add_edge(mid, SymbolId(1 % pds.num_symbols()), last, MinTotal(0));
-    aut.set_final(last);
-    aut
-}
-
-/// One thread-sweep workload: raw `(pds, automaton)` pairs saturated
-/// either forwards (post*) or backwards (pre*).
-struct ParWorkload {
-    name: &'static str,
-    post: Vec<(Pds<MinTotal>, PAutomaton<MinTotal>)>,
-    pre: Vec<(Pds<MinTotal>, PAutomaton<MinTotal>)>,
-    iters: u32,
-}
-
-impl ParWorkload {
-    fn rules(&self) -> usize {
-        self.post
-            .iter()
-            .chain(&self.pre)
-            .map(|(pds, _)| pds.num_rules())
-            .sum()
-    }
-}
-
-fn parallel_workloads() -> Vec<ParWorkload> {
-    let paper = {
-        let net = paper_network();
-        let post = paper_queries()
-            .iter()
-            .map(|q| {
-                let cq = compile(q, &net);
-                let c = build(&net, &cq, ApproxMode::Over, &|_| MinTotal(1));
-                (c.pds, c.initial)
-            })
-            .collect();
-        ParWorkload {
-            name: "paper_network",
-            post,
-            pre: Vec::new(),
-            iters: 20,
-        }
-    };
-    let prestar = ParWorkload {
-        name: "synthetic_prestar",
-        post: Vec::new(),
-        pre: [45u64, 46, 47]
-            .iter()
-            .map(|&seed| {
-                let pds = random_pds(200, 50, 5_000, seed, MinTotal);
-                let target = single_config(&pds, 3);
-                (pds, target)
-            })
-            .collect(),
-        iters: 10,
-    };
-    let wide57k = {
-        let pds = layered_pds(20, 1_000, 3);
-        let init = wide_init(&pds, 250);
-        ParWorkload {
-            name: "wide_poststar_57k",
-            post: vec![(pds, init)],
-            pre: Vec::new(),
-            iters: 3,
-        }
-    };
-    let wide114k = {
-        let pds = layered_pds(20, 2_000, 3);
-        let init = wide_init(&pds, 500);
-        ParWorkload {
-            name: "wide_poststar_114k",
-            post: vec![(pds, init)],
-            pre: Vec::new(),
-            iters: 3,
-        }
-    };
-    vec![paper, prestar, wide57k, wide114k]
-}
-
-/// Saturate the whole batch with `threads`; returns summed transition
-/// counts (used as the cross-check fingerprint).
-fn run_threaded(w: &ParWorkload, threads: usize) -> u64 {
-    let budget = Budget::unlimited();
-    let mut fp = 0u64;
-    for (pds, init) in &w.post {
-        let (aut, _) = post_star_threaded(pds, init, &budget, threads).expect("unlimited budget");
-        fp += aut.transitions().len() as u64;
-    }
-    for (pds, target) in &w.pre {
-        let (aut, _) = pre_star_threaded(pds, target, &budget, threads).expect("unlimited budget");
-        fp += aut.transitions().len() as u64;
-    }
-    fp
-}
-
-/// Sweep one workload over thread counts; asserts byte-level agreement
-/// (transition fingerprints) between every thread count and the
-/// sequential kernels before timing anything.
-fn measure_parallel(w: &ParWorkload) -> String {
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
-    let mut seq_fp = 0u64;
-    for (pds, init) in &w.post {
-        seq_fp += post_star_with_stats(pds, init).0.transitions().len() as u64;
-    }
-    for (pds, target) in &w.pre {
-        seq_fp += pre_star_with_stats(pds, target).0.transitions().len() as u64;
-    }
-    for t in THREADS {
-        let fp = run_threaded(w, t);
-        assert_eq!(
-            fp, seq_fp,
-            "{}: threads={t} diverged from the sequential kernels",
-            w.name
-        );
-    }
-
-    let base = median_ns(w.iters, || run_threaded(w, 1));
-    let mut rows = Vec::new();
-    for t in THREADS {
-        let ns = if t == 1 {
-            base
-        } else {
-            median_ns(w.iters, || run_threaded(w, t))
-        };
-        let speedup = base / ns;
-        println!(
-            "{:<24} threads {t}: {:>12.0} ns  speedup {speedup:.2}x vs 1-thread",
-            w.name, ns
-        );
-        let mut o = JsonObject::new();
-        o.number("threads", t as f64);
-        o.number("medianNs", ns);
-        o.number("speedupVs1", speedup);
-        rows.push(o.finish());
-    }
-
-    let mut o = JsonObject::new();
-    o.string("name", w.name);
-    o.number("rules", w.rules() as f64);
-    o.number("constructions", (w.post.len() + w.pre.len()) as f64);
-    o.number("iters", w.iters as f64);
-    o.raw("threads", &format!("[{}]", rows.join(",")));
-    o.finish()
-}
-
 /// Run one workload batch with the dense implementation; returns summed
 /// stats across the batch.
 fn run_dense(w: &Workload) -> SaturationStats {
@@ -540,11 +333,8 @@ fn json_main() {
     println!("== before/after (reference vs dense), median over N iters ==");
     let objs: Vec<String> = workloads.iter().map(measure_workload).collect();
 
-    println!("== intra-query parallel saturation, threads 1/2/4/8 ==");
-    let par_objs: Vec<String> = parallel_workloads().iter().map(measure_parallel).collect();
-
     let mut root = JsonObject::new();
-    root.string("schema", "aalwines-bench/saturation/v2");
+    root.string("schema", "aalwines-bench/saturation/v3");
     root.string(
         "commit",
         &std::env::var("BENCH_COMMIT").unwrap_or_else(|_| "unknown".into()),
@@ -554,14 +344,13 @@ fn json_main() {
         "pdaal::reference (frozen seed-fidelity implementation)",
     );
     root.string("after", "pdaal::poststar / pdaal::prestar (dense-index)");
-    // Parallel speedups are bounded by the cores actually available;
-    // record the count so numbers from different hosts are comparable.
+    // Record the host's core count so numbers from different hosts
+    // are comparable.
     root.number(
         "hostCores",
         std::thread::available_parallelism().map_or(1, |n| n.get()) as f64,
     );
     root.raw("workloads", &format!("[{}]", objs.join(",")));
-    root.raw("parallel", &format!("[{}]", par_objs.join(",")));
     let json = root.finish();
     // Benches run with the package as cwd; anchor the artifact at the
     // workspace root where the acceptance tooling looks for it.
@@ -580,7 +369,7 @@ fn smoke_main() {
     for q in queries.iter().take(2) {
         let cq = compile(q, &net);
         let cons = build(&net, &cq, ApproxMode::Over, &|_| MinTotal(1));
-        let (seq, d) = post_star_with_stats(&cons.pds, &cons.initial);
+        let (_, d) = post_star_with_stats(&cons.pds, &cons.initial);
         let (_, r) = post_star_ref(&cons.pds, &cons.initial);
         if d.transitions != r.transitions || d.mid_states != r.mid_states {
             eprintln!(
@@ -596,38 +385,9 @@ fn smoke_main() {
             );
             std::process::exit(1);
         }
-        // The parallel kernel must be byte-identical to the sequential
-        // one: same transitions and same non-timing stats.
-        for threads in [2usize, 4] {
-            let (par, p) =
-                post_star_threaded(&cons.pds, &cons.initial, &Budget::unlimited(), threads)
-                    .expect("unlimited budget");
-            if par.transitions() != seq.transitions()
-                || p.worklist_pops != d.worklist_pops
-                || p.mid_states != d.mid_states
-                || p.peak_worklist_bytes != d.peak_worklist_bytes
-            {
-                eprintln!("smoke FAIL: threads={threads} diverged from sequential post*");
-                std::process::exit(1);
-            }
-        }
         checked += 1;
     }
-    // One case wide enough to actually leave the inline-commit path, so
-    // the speculative crew itself is smoke-covered.
-    let pds = layered_pds(8, 200, 3);
-    let init = wide_init(&pds, 100);
-    let (seq, d) = post_star_with_stats(&pds, &init);
-    for threads in [2usize, 4] {
-        let (par, p) =
-            post_star_threaded(&pds, &init, &Budget::unlimited(), threads).expect("unlimited");
-        if par.transitions() != seq.transitions() || p.worklist_pops != d.worklist_pops {
-            eprintln!("smoke FAIL: threads={threads} diverged on the layered PDS");
-            std::process::exit(1);
-        }
-    }
-    checked += 1;
-    println!("smoke OK: {checked} cases, dense == reference, parallel == sequential");
+    println!("smoke OK: {checked} cases, dense == reference");
 }
 
 fn default_main() {

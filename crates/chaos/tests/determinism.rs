@@ -1,14 +1,15 @@
-//! Intra-query parallelism determinism suite: `--sat-threads N` must be
-//! **observably invisible**. For every thread count the engine must
-//! produce byte-identical answers (verdict, witness trace with its
+//! Run-to-run determinism suite: verifying the same queries against the
+//! same network with two fresh engines must be **observably
+//! identical** — byte-identical answers (verdict, witness trace with its
 //! headers, failed-link set, weight vector) and identical non-timing
 //! statistics (rule/transition/pop/mid-state counters, peak worklist
 //! bytes, cache hit/miss counters, resident-byte estimates) — on the
-//! paper network, on weighted queries, on chaos-mutated dataplanes from
-//! three independent seeds, and across repeated runs.
+//! paper network, on weighted queries, on the one network that forces
+//! the under-approximation, and on chaos-mutated dataplanes from three
+//! independent seeds. A resident `Session` must answer exactly like a
+//! plain `Verifier`.
 //!
-//! The only stats field allowed to differ is `saturation_threads`
-//! itself (a configuration echo) and the timing fields.
+//! Only the timing fields may differ.
 
 use aalwines::examples::paper_network;
 use aalwines::{
@@ -37,10 +38,9 @@ fn outcome_repr(outcome: &Outcome) -> String {
     }
 }
 
-/// Every non-timing stats field except the `saturation_threads`
-/// configuration echo. `bytes_resident` is deliberately included: it
-/// depends on the construction cache's exact contents, so it pins the
-/// concurrent engine's join-time cache-replay protocol.
+/// Every non-timing stats field. `bytes_resident` is deliberately
+/// included: it depends on the construction cache's exact contents, so
+/// it pins the cache bookkeeping as well as the answers.
 fn stats_repr(s: &EngineStats) -> String {
     format!(
         "rulesOver={} rulesRemoved={} rulesUnder={} satTransitions={} \
@@ -66,25 +66,18 @@ fn stats_repr(s: &EngineStats) -> String {
 }
 
 /// Run the whole query sequence (twice, so the second pass answers from
-/// a warm cache) through one fresh verifier configured with `threads`
-/// and return the canonical transcript.
+/// a warm cache) through one fresh verifier and return the canonical
+/// transcript.
 fn transcript(
     net: &netmodel::routing::Network,
     queries: &[Query],
     opts: &VerifyOptions,
-    threads: usize,
 ) -> Vec<String> {
-    let opts = opts.clone().with_saturation_threads(threads);
     let verifier = Verifier::new(net);
     let mut out = Vec::with_capacity(queries.len() * 2);
-    for pass in 0..2 {
-        for (qi, q) in queries.iter().enumerate() {
-            let a = verifier.verify(q, &opts);
-            assert_eq!(
-                a.stats.saturation_threads,
-                threads.max(1),
-                "pass {pass} q{qi}: stats must echo the configured thread count"
-            );
+    for _ in 0..2 {
+        for q in queries {
+            let a = verifier.verify(q, opts);
             out.push(format!(
                 "{} | {}",
                 outcome_repr(&a.outcome),
@@ -96,28 +89,20 @@ fn transcript(
 }
 
 #[test]
-fn paper_network_answers_are_thread_count_invariant() {
+fn paper_network_answers_repeat_run_to_run() {
     let net = paper_network();
     let queries = paper_queries();
     let weighted = VerifyOptions::new().with_weights(WeightSpec::single(AtomicQuantity::Hops));
     for (oi, opts) in [VerifyOptions::new(), weighted].iter().enumerate() {
-        let baseline = transcript(&net, &queries, opts, 1);
+        let first = transcript(&net, &queries, opts);
         // The corpus must actually exercise the warm-cache path, or
-        // this test proves nothing about the concurrent engine's
-        // join-time cache-replay bookkeeping.
+        // this test proves nothing about the cache bookkeeping.
         assert!(
-            baseline.iter().any(|l| !l.contains("cacheHits=0")),
+            first.iter().any(|l| !l.contains("cacheHits=0")),
             "opts#{oi}: corpus never hit the construction cache"
         );
-        for threads in [2usize, 4, 8] {
-            for run in 0..2 {
-                let got = transcript(&net, &queries, opts, threads);
-                assert_eq!(
-                    got, baseline,
-                    "opts#{oi} threads {threads} run {run}: transcript diverged"
-                );
-            }
-        }
+        let second = transcript(&net, &queries, opts);
+        assert_eq!(second, first, "opts#{oi}: transcript diverged");
     }
 }
 
@@ -130,8 +115,7 @@ fn paper_network_answers_are_thread_count_invariant() {
 /// loop with one failure — but `feasible_failures` rejects the witness
 /// (a link cannot be both failed and traversed), producing
 /// `Phase::Infeasible` and forcing the under-approximation to run.
-/// This is the one corpus entry that pins the concurrent engine's
-/// join-time replay of the speculative under phase.
+/// This is the one corpus entry that exercises the under phase.
 fn failover_loop() -> (Network, Vec<Query>) {
     let mut t = Topology::new();
     let xin = t.add_router("x_in", None);
@@ -176,35 +160,26 @@ fn failover_loop() -> (Network, Vec<Query>) {
     (net, queries)
 }
 
-/// The corpus entry that actually runs the speculative under phase:
-/// answers and non-timing stats (including the under-phase saturation
-/// counters and the cache-replay bookkeeping) must be identical for
-/// every thread count and across repeated runs, unweighted and
-/// weighted.
+/// The corpus entry that runs the under phase: answers and non-timing
+/// stats (including the under-phase saturation counters and its cache
+/// bookkeeping) must repeat run to run, unweighted and weighted.
 #[test]
-fn under_phase_replay_is_thread_count_invariant() {
+fn under_phase_answers_repeat_run_to_run() {
     let (net, queries) = failover_loop();
     let weighted = VerifyOptions::new().with_weights(WeightSpec::single(AtomicQuantity::Hops));
     for (oi, opts) in [VerifyOptions::new(), weighted].iter().enumerate() {
-        let baseline = transcript(&net, &queries, opts, 1);
+        let first = transcript(&net, &queries, opts);
         assert!(
-            baseline.iter().all(|l| !l.contains("underRuns=0")),
-            "opts#{oi}: the failover loop must run the under-approximation\n{baseline:#?}"
+            first.iter().all(|l| !l.contains("underRuns=0")),
+            "opts#{oi}: the failover loop must run the under-approximation\n{first:#?}"
         );
-        for threads in [2usize, 4, 8] {
-            for run in 0..2 {
-                let got = transcript(&net, &queries, opts, threads);
-                assert_eq!(
-                    got, baseline,
-                    "opts#{oi} threads {threads} run {run}: transcript diverged"
-                );
-            }
-        }
+        let second = transcript(&net, &queries, opts);
+        assert_eq!(second, first, "opts#{oi}: transcript diverged");
     }
 }
 
 #[test]
-fn chaos_mutants_are_thread_count_invariant() {
+fn chaos_mutants_answer_identically_run_to_run() {
     let base = paper_network();
     let queries = paper_queries();
     for seed in [0x5EED_D001u64, 0x5EED_D002, 0x5EED_D003] {
@@ -220,16 +195,14 @@ fn chaos_mutants_are_thread_count_invariant() {
             net.repair();
             let qs = std::slice::from_ref(&queries[checked % queries.len()]);
             let opts = VerifyOptions::new();
-            let baseline = transcript(&net, qs, &opts, 1);
-            for threads in [2usize, 4] {
-                let got = transcript(&net, qs, &opts, threads);
-                assert_eq!(
-                    got,
-                    baseline,
-                    "seed {seed:#x} mutant#{checked} ({}) threads {threads}",
-                    kind.as_str()
-                );
-            }
+            let first = transcript(&net, qs, &opts);
+            let second = transcript(&net, qs, &opts);
+            assert_eq!(
+                second,
+                first,
+                "seed {seed:#x} mutant#{checked} ({})",
+                kind.as_str()
+            );
             checked += 1;
         }
         assert!(
@@ -239,24 +212,24 @@ fn chaos_mutants_are_thread_count_invariant() {
     }
 }
 
-/// The session layer forwards the knob: a resident session built with
-/// `saturation_threads(n)` answers identically to a sequential one and
-/// reports the setting in its stats.
+/// The resident session adds warm state around the same engine, not a
+/// different one: on the paper corpus, `Session::verify` and
+/// `Verifier::verify` give identical outcomes and non-timing stats.
 #[test]
-fn session_saturation_threads_forwarding() {
+fn session_matches_verifier_on_paper_corpus() {
     let net = paper_network();
-    // Threads pinned explicitly on both sessions: the suite must pass
-    // under CI's `AALWINES_SAT_THREADS` default-override leg too.
-    let seq = Session::builder().saturation_threads(1).open(net.clone());
-    let par = Session::builder().saturation_threads(4).open(net);
-    assert_eq!(seq.stats().saturation_threads, 1);
-    assert_eq!(par.stats().saturation_threads, 4);
-    assert!(seq.stats().to_json().contains("\"saturationThreads\":1"));
-    for q in &paper_queries() {
-        let a = seq.verify(q);
-        let b = par.verify(q);
-        assert_eq!(outcome_repr(&a.outcome), outcome_repr(&b.outcome));
-        assert_eq!(a.stats.peak_worklist_bytes, b.stats.peak_worklist_bytes);
-        assert_eq!(b.stats.saturation_threads, 4);
+    let session = Session::builder().open(net.clone());
+    let verifier = Verifier::new(&net);
+    let opts = VerifyOptions::new();
+    for pass in 0..2 {
+        for (qi, q) in paper_queries().iter().enumerate() {
+            let a = session.verify(q);
+            let b = verifier.verify(q, &opts);
+            assert_eq!(
+                format!("{} | {}", outcome_repr(&a.outcome), stats_repr(&a.stats)),
+                format!("{} | {}", outcome_repr(&b.outcome), stats_repr(&b.stats)),
+                "pass {pass} q{qi}"
+            );
+        }
     }
 }

@@ -63,7 +63,6 @@ pub mod budget;
 pub mod dot;
 pub mod fxhash;
 pub mod nfa;
-pub mod parallel;
 pub mod pautomaton;
 pub mod pds;
 pub mod poststar;
@@ -76,10 +75,23 @@ pub mod witness;
 
 pub use budget::{AbortReason, Budget, BudgetChecker, CancelToken, SaturationAbort};
 pub use nfa::{StackNfa, SymFilter};
-pub use parallel::{post_star_threaded, pre_star_threaded};
 pub use pautomaton::{AutState, FilterId, PAutomaton, Provenance, TLabel, TransId};
 pub use pds::{Pds, Rule, RuleId, RuleOp, StateId, SymbolId};
 pub use poststar::SaturationStats;
 pub use semiring::{MinTotal, MinVector, Unweighted, Weight};
 pub use shortest::{shortest_accepted, shortest_accepted_budgeted, AcceptedPath};
 pub use witness::{reconstruct_run, WitnessError};
+
+/// Former entry point of intra-query parallel `post*` saturation.
+/// Saturation is sequential; this forwards to
+/// [`post_star_budgeted`](poststar::post_star_budgeted) and ignores
+/// `_threads`.
+#[deprecated(note = "use poststar::post_star_budgeted")]
+pub fn post_star_threaded<W: Weight>(
+    pds: &Pds<W>,
+    initial: &PAutomaton<W>,
+    budget: &Budget,
+    _threads: usize,
+) -> Result<(PAutomaton<W>, SaturationStats), SaturationAbort> {
+    poststar::post_star_budgeted(pds, initial, budget)
+}

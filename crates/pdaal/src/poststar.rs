@@ -58,9 +58,9 @@ pub struct SaturationStats {
     pub worklist_requeues_avoided: usize,
     /// Peak bytes of the *logical* worklist: queued transition ids plus
     /// the on-worklist flag array, sampled at every pop. Defined over
-    /// lengths (not capacities) so the value is identical for every
-    /// thread count and machine — it measures the algorithm's frontier,
-    /// not the allocator.
+    /// lengths (not capacities) so the value is identical on every
+    /// machine — it measures the algorithm's frontier, not the
+    /// allocator.
     pub peak_worklist_bytes: usize,
 }
 

@@ -28,9 +28,8 @@ use std::collections::VecDeque;
 
 /// A per-state multimap from head symbol to the transitions reading it,
 /// kept sorted by symbol (same layout as the rule indexes of [`Pds`]).
-/// Shared with the parallel committer in [`crate::parallel`].
 #[derive(Clone, Default)]
-pub(crate) struct HeadIndex {
+struct HeadIndex {
     syms: Vec<SymbolId>,
     lists: Vec<Vec<TransId>>,
 }
@@ -39,7 +38,7 @@ const NO_TRANS: &[TransId] = &[];
 
 impl HeadIndex {
     #[inline]
-    pub(crate) fn push(&mut self, g: SymbolId, t: TransId) {
+    fn push(&mut self, g: SymbolId, t: TransId) {
         match self.syms.binary_search(&g) {
             Ok(i) => self.lists[i].push(t),
             Err(i) => {
@@ -50,7 +49,7 @@ impl HeadIndex {
     }
 
     #[inline]
-    pub(crate) fn get(&self, g: SymbolId) -> &[TransId] {
+    fn get(&self, g: SymbolId) -> &[TransId] {
         match self.syms.binary_search(&g) {
             Ok(i) => &self.lists[i],
             Err(_) => NO_TRANS,

@@ -311,7 +311,11 @@ pub fn build_mpls_dataplane(mut core: Topology, cfg: &LspConfig) -> Dataplane {
                 keyed_on.entry(*in_link).or_default().push(i);
             }
         }
-        let protected: Vec<LinkId> = over_link.keys().copied().collect();
+        // Sorted, not in `HashMap` order: bypass labels are interned and
+        // bypass rules appended in this order, so it must not change from
+        // run to run.
+        let mut protected: Vec<LinkId> = over_link.keys().copied().collect();
+        protected.sort_unstable();
         let mut new_rules: Vec<(LinkId, LabelId, usize, RoutingEntry)> = Vec::new();
         for e in protected {
             let (u, v) = (core.src(e), core.dst(e));

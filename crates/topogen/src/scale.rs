@@ -116,6 +116,47 @@ mod tests {
         assert_eq!(a.service_labels, b.service_labels);
     }
 
+    /// The label table (id → name, kind) and the rule list, in table
+    /// order: every `(in_link, label)` key ascending, then its entries by
+    /// priority and insertion order.
+    fn dataplane_transcript(dp: &Dataplane) -> (Vec<String>, Vec<String>) {
+        let labels = &dp.net.labels;
+        let label_table = labels
+            .all()
+            .map(|l| format!("{}={}:{:?}", l.0, labels.name(l), labels.kind(l)))
+            .collect();
+        let mut keys: Vec<_> = dp.net.routing_keys().collect();
+        keys.sort_unstable_by_key(|(link, label)| (link.0, label.0));
+        let mut rules = Vec::new();
+        for (link, label) in keys {
+            for (prio, group) in dp.net.groups(link, label).iter().enumerate() {
+                for entry in group {
+                    rules.push(format!(
+                        "{}/{}/{} -> {:?}",
+                        link.0,
+                        label.0,
+                        prio + 1,
+                        entry
+                    ));
+                }
+            }
+        }
+        (label_table, rules)
+    }
+
+    #[test]
+    fn label_table_and_rule_order_repeat_within_a_process() {
+        let a = dataplane_transcript(&scale_tier(&ScaleConfig::smoke()));
+        let b = dataplane_transcript(&scale_tier(&ScaleConfig::smoke()));
+        assert_eq!(a.0.len(), b.0.len(), "label count");
+        assert!(
+            a.0 == b.0,
+            "label table id -> (name, kind) differs between builds"
+        );
+        assert_eq!(a.1.len(), b.1.len(), "rule count");
+        assert!(a.1 == b.1, "rule list differs between builds");
+    }
+
     #[test]
     #[ignore = "slow: builds the full 1000-router multi-million-rule instance; run explicitly"]
     fn full_tier_matches_target_dimensions() {

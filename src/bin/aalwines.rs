@@ -15,8 +15,9 @@
 //! ```
 //!
 //! Exit code 0: all queries conclusive; 2: at least one inconclusive;
-//! 1: usage or input error. With `--lint`/`--lint-json`: 0 clean,
-//! 2 warnings only, 1 at least one error.
+//! 1: usage or input error, including an unknown flag. With
+//! `--lint`/`--lint-json`: 0 clean, 2 warnings only, 1 at least one
+//! error.
 
 use aalwines::telemetry::envelope;
 use aalwines::{
@@ -32,11 +33,13 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: aalwines (--demo | --isis mapping.txt | --topology topo.xml --routing route.xml)\n\
+        "usage: aalwines (--demo | --isis mapping.txt | --topology topo.xml --routing route.xml\n\
+         \x20                 | --gml file.gml [--edge-routers N] [--max-pairs N]\n\
+         \x20                   [--service-chains N] [--seed N] [--no-protection])\n\
          \x20        [--locations loc.json] (--query '<a> b <c> k' ... | --stdin)\n\
          \x20        [--weight 'expr, expr, ...'] [--engine dual|moped] [--no-reduction]\n\
          \x20        [--deadline-ms N] [--batch-deadline-ms N] [--max-transitions N]\n\
-         \x20        [--threads N] [--sat-threads N] [--no-cache] [--cache-size N]\n\
+         \x20        [--threads N] [--no-cache] [--cache-size N]\n\
          \x20        [--window N] [--progress-ms N]\n\
          \x20        [--stats] [--json] [--repair]\n\
          \x20        [--write-topology out.xml] [--write-routing out.xml]\n\
@@ -46,6 +49,65 @@ fn usage() -> ! {
          --demo without --query/--stdin runs the paper's six benchmark queries."
     );
     std::process::exit(1)
+}
+
+/// Flags that take the next argument as their value.
+const VALUE_FLAGS: &[&str] = &[
+    "--batch-deadline-ms",
+    "--cache-size",
+    "--chaos-mutants",
+    "--chaos-seed",
+    "--deadline-ms",
+    "--edge-routers",
+    "--engine",
+    "--gml",
+    "--isis",
+    "--locations",
+    "--max-pairs",
+    "--max-transitions",
+    "--progress-ms",
+    "--query",
+    "--routing",
+    "--seed",
+    "--service-chains",
+    "--threads",
+    "--topology",
+    "--weight",
+    "--window",
+    "--write-routing",
+    "--write-topology",
+];
+
+/// Flags that stand alone.
+const BOOL_FLAGS: &[&str] = &[
+    "--demo",
+    "--json",
+    "--lint",
+    "--lint-json",
+    "--no-cache",
+    "--no-protection",
+    "--no-reduction",
+    "--repair",
+    "--stats",
+    "--stdin",
+];
+
+/// Split the command line into `(flag, value)` pairs, checking every
+/// argument against [`VALUE_FLAGS`] and [`BOOL_FLAGS`].
+fn parse_flags(args: &[String]) -> Result<Vec<(&str, Option<&str>)>, String> {
+    let mut flags = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            flags.push((arg.as_str(), Some(v.as_str())));
+        } else if BOOL_FLAGS.contains(&arg.as_str()) {
+            flags.push((arg.as_str(), None));
+        } else {
+            return Err(format!("unknown flag '{arg}'"));
+        }
+    }
+    Ok(flags)
 }
 
 /// The paper's six running-example queries, used as the default workload
@@ -104,19 +166,26 @@ fn report(net: &Network, text: &str, answer: &Answer, show_stats: bool) -> bool 
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let value = |key: &str| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let flags = match parse_flags(&args) {
+        Ok(flags) => flags,
+        Err(msg) => {
+            eprintln!("{msg}");
+            usage()
+        }
     };
+    let has = |flag: &str| flags.iter().any(|(f, _)| *f == flag);
     let values = |key: &str| -> Vec<String> {
-        args.iter()
-            .enumerate()
-            .filter(|(_, a)| *a == key)
-            .filter_map(|(i, _)| args.get(i + 1).cloned())
+        flags
+            .iter()
+            .filter(|(f, _)| *f == key)
+            .filter_map(|(_, v)| v.map(str::to_owned))
             .collect()
+    };
+    let value = |key: &str| {
+        flags
+            .iter()
+            .find(|(f, _)| *f == key)
+            .and_then(|(_, v)| v.map(str::to_owned))
     };
 
     let lint_mode = has("--lint") || has("--lint-json");
@@ -449,18 +518,8 @@ fn main() -> ExitCode {
             }
         }
     }
-    // --threads parallelizes *across* queries (one batch worker per
-    // whole query); --sat-threads parallelizes *inside* each single
-    // verification and yields byte-identical answers at any setting.
-    if let Some(v) = value("--sat-threads") {
-        match v.parse::<usize>() {
-            Ok(n) => opts = opts.with_saturation_threads(n),
-            Err(_) => {
-                eprintln!("--sat-threads: expected a count, got {v:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    // --threads parallelizes across queries: each worker verifies whole
+    // queries, sequentially.
     let mut builder = SessionBuilder::new();
     if let Some(v) = value("--threads") {
         match v.parse::<usize>() {

@@ -115,6 +115,27 @@ fn cli_cache_flags_conflict_is_usage_error() {
 }
 
 #[test]
+fn cli_unknown_flags_are_usage_errors() {
+    // The removed `--sat-threads` and a misspelt flag must each fail
+    // instead of silently running with defaults.
+    for (args, flag) in [
+        (&["--demo", "--sat-threads", "2"][..], "--sat-threads"),
+        (&["--demo", "--stat"][..], "--stat"),
+    ] {
+        let mut with_query = args.to_vec();
+        with_query.extend(["--query", DEMO_QUERIES[0]]);
+        let (code, stdout, stderr) = run_cli(&with_query, "");
+        assert_eq!(code, 1, "{args:?} must be a usage error\nstderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage: aalwines"), "{stderr}");
+        assert!(stdout.is_empty(), "nothing may run: {stdout}");
+    }
+}
+
+#[test]
 fn bounded_window_on_100k_query_stream() {
     // 100k query texts cycling the demo suite: long enough that any
     // collect-the-stream implementation would be obvious, cheap enough
